@@ -32,7 +32,7 @@ use std::time::Duration;
 use xai_fourier::global_plan_cache;
 use xai_tensor::ops::{self, DivPolicy};
 use xai_tensor::quant::QuantizedMatrix;
-use xai_tensor::{Complex64, Matrix, Result};
+use xai_tensor::{Complex64, Matrix, Result, TensorError};
 use xai_tpu::{
     BatchQueue, DevicePool, KernelJob, KernelResult, LaneCost, ShardPlan, ShardStrategy,
     SharedDevice, TpuConfig, TpuDevice,
@@ -410,140 +410,65 @@ fn kernel_lane_cost(job: &KernelJob) -> LaneCost {
     }
 }
 
-/// Numeric path of one fused filter-diff group: one forward batch
-/// transform, per-lane spectral filters, one inverse batch transform
-/// and the per-lane Equation-5 difference — the exact staged
-/// arithmetic, so the fused lane is bit-identical to the chained
-/// kernels by construction. A failure in any stage fans out to every
-/// lane of the group (they share the batch transforms).
-fn filter_diff_group_numerics(
-    m: usize,
-    n: usize,
-    xs: Vec<Matrix<Complex64>>,
-    filters: &[Arc<Matrix<Complex64>>],
-    ys: &[Arc<Matrix<f64>>],
-) -> Vec<Result<KernelResult>> {
-    let count = xs.len();
-    let run = || -> Result<Vec<Result<KernelResult>>> {
-        let plan = global_plan_cache().plan_2d(m, n);
-        let spectra = plan.forward_batch(&xs)?;
-        let filtered: Vec<Matrix<Complex64>> = spectra
-            .iter()
-            .zip(filters)
-            .map(|(s, f)| ops::hadamard(s, f))
-            .collect::<Result<_>>()?;
-        let preds = plan.inverse_batch(&filtered)?;
-        Ok(preds
-            .iter()
-            .zip(ys)
-            .map(|(p, y)| Ok(KernelResult::Real(ops::sub(y, &p.to_real())?)))
-            .collect())
-    };
-    match run() {
-        Ok(lanes) => lanes,
-        Err(e) => (0..count).map(|_| Err(e.clone())).collect(),
+/// Numeric path of one filter-diff lane, in place on the lane's own
+/// matrix: forward transform → ×filter → inverse transform →
+/// `y − re` — the exact arithmetic of the staged fft, hadamard, ifft
+/// and sub kernels, so the fused lane is bit-identical to the chained
+/// kernels by construction. Shared by the fused flight lane and the
+/// unbatched [`Accelerator::filter_diff_batch`].
+fn filter_diff_numerics(
+    mut x: Matrix<Complex64>,
+    filter: &Matrix<Complex64>,
+    y: &Matrix<f64>,
+) -> Result<Matrix<f64>> {
+    let (m, n) = x.shape();
+    let plan = global_plan_cache().plan_2d(m, n);
+    plan.forward_in_place(&mut x)?;
+    x.check_same_shape(filter, "hadamard")?;
+    for (s, &f) in x.as_mut_slice().iter_mut().zip(filter.as_slice()) {
+        *s *= f;
+    }
+    plan.inverse_in_place(&mut x)?;
+    y.check_same_shape(&x, "sub")?;
+    let diff = y.iter().zip(x.iter()).map(|(&a, p)| a - p.re).collect();
+    Matrix::from_vec(m, n, diff)
+}
+
+/// Numeric path of one kernel lane. Pure host arithmetic — no
+/// simulated-time charging — and a pure function of the lane's own
+/// inputs, so a flight's numerics are placement-independent by
+/// construction. Owned transform and filter-diff lanes run the
+/// in-place 2-D kernel on their own matrix, with no copy.
+fn lane_numerics(job: KernelJob) -> Result<KernelResult> {
+    match job {
+        KernelJob::Transform { mut x, forward } => {
+            let plan = global_plan_cache().plan_2d(x.rows(), x.cols());
+            if forward {
+                plan.forward_in_place(&mut x)?;
+            } else {
+                plan.inverse_in_place(&mut x)?;
+            }
+            Ok(KernelResult::Complex(x))
+        }
+        KernelJob::Hadamard { a, b } => ops::hadamard(&a, &b).map(KernelResult::Complex),
+        KernelJob::PointwiseDiv { a, b, policy } => {
+            ops::pointwise_div(&a, &b, policy).map(KernelResult::Complex)
+        }
+        KernelJob::Sub { a, b } => ops::sub(&a, &b).map(KernelResult::Real),
+        KernelJob::Matmul { a, b } => matmul_numerics(&a, &b).map(KernelResult::Real),
+        KernelJob::FilterDiff { x, filter, y } => {
+            filter_diff_numerics(x, &filter, &y).map(KernelResult::Real)
+        }
     }
 }
 
-/// Numeric path of one kernel-generic flight, in lane order. Pure
-/// host arithmetic — no simulated-time charging. Transform lanes are
-/// grouped by (shape, direction) and run as fused batch transforms
-/// (bit-identical to per-matrix); fused filter-diff lanes are grouped
-/// by shape and pipeline all four stages; elementwise and matmul
-/// lanes are pure per-lane functions of their inputs, so the flight's
-/// numerics are placement-independent by construction.
+/// Numeric path of one kernel-generic flight, in lane order.
 ///
 /// Each lane carries its *own* `Result`: a data-dependent error (a
 /// strict division by zero, say) fails only that lane, and the queue
-/// delivers it only to the submitter owning the lane. Errors in a
-/// batched transform group fan out to every lane of the group.
-type FusedLane = (Matrix<Complex64>, Arc<Matrix<Complex64>>, Arc<Matrix<f64>>);
-
+/// delivers it only to the submitter owning the lane.
 fn flight_numerics(flight: Vec<KernelJob>) -> Vec<Result<KernelResult>> {
-    // Requests from concurrent explanation workers are homogeneous,
-    // but neither the queue nor the pool requires it.
-    let mut slots: Vec<Option<Result<KernelResult>>> = (0..flight.len()).map(|_| None).collect();
-    let mut groups: Vec<((usize, usize, bool), Vec<usize>)> = Vec::new();
-    let mut transforms: Vec<Option<Matrix<Complex64>>> = (0..flight.len()).map(|_| None).collect();
-    let mut fused_groups: Vec<((usize, usize), Vec<usize>)> = Vec::new();
-    let mut fused: Vec<Option<FusedLane>> = (0..flight.len()).map(|_| None).collect();
-    for (i, job) in flight.into_iter().enumerate() {
-        match job {
-            KernelJob::Transform { x, forward } => {
-                let key = (x.rows(), x.cols(), forward);
-                match groups.iter_mut().find(|(k, _)| *k == key) {
-                    Some((_, lanes)) => lanes.push(i),
-                    None => groups.push((key, vec![i])),
-                }
-                transforms[i] = Some(x);
-            }
-            KernelJob::Hadamard { a, b } => {
-                slots[i] = Some(ops::hadamard(&a, &b).map(KernelResult::Complex));
-            }
-            KernelJob::PointwiseDiv { a, b, policy } => {
-                slots[i] = Some(ops::pointwise_div(&a, &b, policy).map(KernelResult::Complex));
-            }
-            KernelJob::Sub { a, b } => {
-                slots[i] = Some(ops::sub(&a, &b).map(KernelResult::Real));
-            }
-            KernelJob::Matmul { a, b } => {
-                slots[i] = Some(matmul_numerics(&a, &b).map(KernelResult::Real));
-            }
-            KernelJob::FilterDiff { x, filter, y } => {
-                let key = x.shape();
-                match fused_groups.iter_mut().find(|(k, _)| *k == key) {
-                    Some((_, lanes)) => lanes.push(i),
-                    None => fused_groups.push((key, vec![i])),
-                }
-                fused[i] = Some((x, filter, y));
-            }
-        }
-    }
-    for ((m, n, forward), lanes) in &groups {
-        let plan = global_plan_cache().plan_2d(*m, *n);
-        let xs: Vec<Matrix<Complex64>> = lanes
-            .iter()
-            .map(|&i| transforms[i].take().expect("each lane consumed once"))
-            .collect();
-        let outs = if *forward {
-            plan.forward_batch(&xs)
-        } else {
-            plan.inverse_batch(&xs)
-        };
-        match outs {
-            Ok(outs) => {
-                for (&i, out) in lanes.iter().zip(outs) {
-                    slots[i] = Some(Ok(KernelResult::Complex(out)));
-                }
-            }
-            // A batched-transform failure fans out to its whole
-            // group: the lanes shared one fused transform.
-            Err(e) => {
-                for &i in lanes {
-                    slots[i] = Some(Err(e.clone()));
-                }
-            }
-        }
-    }
-    for ((m, n), lanes) in &fused_groups {
-        let mut xs = Vec::with_capacity(lanes.len());
-        let mut filters = Vec::with_capacity(lanes.len());
-        let mut ys = Vec::with_capacity(lanes.len());
-        for &i in lanes {
-            let (x, f, y) = fused[i].take().expect("each fused lane consumed once");
-            xs.push(x);
-            filters.push(f);
-            ys.push(y);
-        }
-        let outs = filter_diff_group_numerics(*m, *n, xs, &filters, &ys);
-        for (&i, out) in lanes.iter().zip(outs) {
-            slots[i] = Some(out);
-        }
-    }
-    slots
-        .into_iter()
-        .map(|s| s.expect("every lane produced a result"))
-        .collect()
+    flight.into_iter().map(lane_numerics).collect()
 }
 
 /// The real matmul numeric path: int8 quantisation, as §II-A
@@ -672,8 +597,6 @@ impl TpuAccel {
         }
         let (m, n) = xs[0].shape();
         let plan = global_plan_cache().plan_2d(m, n);
-        // Fused numeric path: one row pass and one column pass over
-        // the whole batch (bit-identical to per-matrix transforms).
         let out = if forward {
             plan.forward_batch(xs)
         } else {
@@ -694,6 +617,31 @@ impl TpuAccel {
         let dt = self.charge_flight_region(shapes.len(), |d| charge_transform_shard(d, shapes))?;
         let (ops, bytes) = flight_ops_bytes(shapes);
         self.stats.record(dt, ops, bytes);
+        Ok(())
+    }
+
+    /// Charges one unqueued batch of `count` elementwise lanes of
+    /// `elems` elements each — one phase, a lane per core — and
+    /// records `flops` and `bytes` per element in the ledger. Shared
+    /// by the batched elementwise kernels and the unbatched
+    /// filter-diff chain, so their charges can never drift apart.
+    fn charge_elementwise_batch(
+        &self,
+        label: &'static str,
+        elems: usize,
+        count: usize,
+        flops: f64,
+        bytes: f64,
+    ) -> Result<()> {
+        let dt = self.charge_region(|d| {
+            d.run_phase(vec![elems as u64; count], |core, e| {
+                core.charge_elementwise_work(label, e);
+                Ok(())
+            })?;
+            Ok(())
+        })?;
+        let total = (elems * count) as f64;
+        self.stats.record(dt, flops * total, bytes * total);
         Ok(())
     }
 
@@ -742,9 +690,8 @@ impl TpuAccel {
     }
 
     /// Executes one coalesced flight, possibly mixing kernel kinds.
-    /// On a single device: the flight's numerics (fused per
-    /// (shape, direction) transform group, per-lane elementwise and
-    /// matmul work), then one atomic charge region applying each
+    /// On a single device: the flight's per-lane numerics
+    /// ([`flight_numerics`]), then one atomic charge region applying each
     /// kind's direct-path cost model ([`charge_kernel_shard`]). Over
     /// a pool with more than one chip, the flight's lanes are sharded
     /// across the chips instead (see
@@ -1074,21 +1021,7 @@ impl Accelerator for TpuAccel {
         }
         let out: Result<Vec<_>> = xs.iter().map(|x| ops::hadamard(x, k)).collect();
         if let Some(first) = xs.first() {
-            let elems = first.len();
-            let count = xs.len();
-            let dt = self.charge_region(|d| {
-                let work: Vec<u64> = vec![elems as u64; count];
-                d.run_phase(work, |core, e| {
-                    core.charge_elementwise_work("hadamard-batch", e);
-                    Ok(())
-                })?;
-                Ok(())
-            })?;
-            self.stats.record(
-                dt,
-                6.0 * (elems * count) as f64,
-                48.0 * (elems * count) as f64,
-            );
+            self.charge_elementwise_batch("hadamard-batch", first.len(), xs.len(), 6.0, 48.0)?;
         }
         out
     }
@@ -1110,18 +1043,7 @@ impl Accelerator for TpuAccel {
         }
         let out: Result<Vec<_>> = preds.iter().map(|p| ops::sub(y, p)).collect();
         if !preds.is_empty() {
-            let elems = y.len();
-            let count = preds.len();
-            let dt = self.charge_region(|d| {
-                let work: Vec<u64> = vec![elems as u64; count];
-                d.run_phase(work, |core, e| {
-                    core.charge_elementwise_work("sub-batch", e);
-                    Ok(())
-                })?;
-                Ok(())
-            })?;
-            self.stats
-                .record(dt, (elems * count) as f64, 24.0 * (elems * count) as f64);
+            self.charge_elementwise_batch("sub-batch", y.len(), preds.len(), 1.0, 24.0)?;
         }
         out
     }
@@ -1132,8 +1054,11 @@ impl Accelerator for TpuAccel {
     /// submission with a single result gather, per-stage charges
     /// identical to the staged chain, and concurrent submitters'
     /// lanes coalescing into shared flights that shard across a pool.
-    /// Without batching, stages run as the four batched kernels
-    /// (identical charges, four gathers). Bit-identical either way.
+    /// Without batching, every input runs the same in-place lane
+    /// numerics and the device is charged the four batched kernels
+    /// in the staged order (identical simulated time and ledger; a
+    /// malformed batch returns the staged chain's error after the
+    /// stages it would have charged). Bit-identical either way.
     fn filter_diff_batch(
         &self,
         xs: &[Matrix<Complex64>],
@@ -1155,14 +1080,30 @@ impl Accelerator for TpuAccel {
             let out = self.queued(jobs)?;
             return Ok(out.into_iter().map(KernelResult::into_real).collect());
         }
-        let spectra = self.fft2d_batch(xs)?;
-        let filtered = self.hadamard_batch(&spectra, filter)?;
-        let preds: Vec<Matrix<f64>> = self
-            .ifft2d_batch(&filtered)?
-            .into_iter()
-            .map(|p| p.to_real())
+        let Some(first) = xs.first() else {
+            return Ok(Vec::new());
+        };
+        let shape = first.shape();
+        let shapes = vec![shape; xs.len()];
+        // A malformed batch fails at the stage, with the error and
+        // after the charges, where the staged chain failed.
+        self.charge_transform_flight(&shapes)?;
+        if let Some(x) = xs.iter().find(|x| x.shape() != shape) {
+            return Err(TensorError::ShapeMismatch {
+                left: shape,
+                right: x.shape(),
+                op: "fft2d_batch",
+            });
+        }
+        self.charge_elementwise_batch("hadamard-batch", first.len(), xs.len(), 6.0, 48.0)?;
+        first.check_same_shape(filter, "hadamard")?;
+        let out: Result<Vec<_>> = xs
+            .iter()
+            .map(|x| filter_diff_numerics(x.clone(), filter, y))
             .collect();
-        self.sub_batch(y, &preds)
+        self.charge_transform_flight(&shapes)?;
+        self.charge_elementwise_batch("sub-batch", y.len(), xs.len(), 1.0, 24.0)?;
+        out
     }
 
     fn charge_workload(&self, flops: f64, bytes: f64) {
@@ -1540,6 +1481,106 @@ mod tests {
                 plain.pointwise_div(&ca, &cb, policy).unwrap().as_slice()
             );
             assert!(acc.elapsed_seconds() > 0.0);
+        }
+    }
+
+    /// The staged fft → hadamard → ifft → sub chain, stopping at the
+    /// first failing kernel.
+    fn staged_filter_diff(
+        acc: &TpuAccel,
+        xs: &[Matrix<Complex64>],
+        filter: &Matrix<Complex64>,
+        y: &Matrix<f64>,
+    ) -> Result<Vec<Matrix<f64>>> {
+        let spectra = acc.fft2d_batch(xs)?;
+        let filtered = acc.hadamard_batch(&spectra, filter)?;
+        let preds: Vec<Matrix<f64>> = acc
+            .ifft2d_batch(&filtered)?
+            .iter()
+            .map(Matrix::to_real)
+            .collect();
+        acc.sub_batch(y, &preds)
+    }
+
+    #[test]
+    fn unbatched_filter_diff_matches_the_staged_kernels() {
+        // The unbatched chain runs the in-place lane numerics but must
+        // charge exactly the four staged kernels, in their order:
+        // same maps bit for bit (or the same error), same simulated
+        // clock, same ledger — malformed batches included.
+        let lane = |m: usize, n: usize, s: usize| {
+            Matrix::from_fn(m, n, |r, c| {
+                Complex64::new(((r * 5 + c * 3 + s) % 11) as f64 - 5.0, (c % 4) as f64)
+            })
+            .unwrap()
+        };
+        let filter = |m: usize, n: usize| {
+            Matrix::from_fn(m, n, |r, c| {
+                Complex64::new(1.0 / (1 + r + c) as f64, ((r + 2 * c) % 5) as f64 * 0.1)
+            })
+            .unwrap()
+        };
+        let y = |m: usize, n: usize| {
+            Matrix::from_fn(m, n, |r, c| ((r * 3 + c) % 7) as f64 * 0.5).unwrap()
+        };
+        let lanes = |m, n, count| (0..count).map(|s| lane(m, n, s)).collect::<Vec<_>>();
+        let mut mixed = lanes(16, 16, 3);
+        mixed.insert(1, lane(16, 8, 9));
+        let cases = [
+            ("16x16", lanes(16, 16, 5), filter(16, 16), y(16, 16), None),
+            ("12x20", lanes(12, 20, 3), filter(12, 20), y(12, 20), None),
+            ("8x32", lanes(8, 32, 1), filter(8, 32), y(8, 32), None),
+            (
+                "mixed lanes",
+                mixed,
+                filter(16, 16),
+                y(16, 16),
+                Some("fft2d_batch"),
+            ),
+            (
+                "bad filter",
+                lanes(16, 16, 3),
+                filter(16, 8),
+                y(16, 16),
+                Some("hadamard"),
+            ),
+            (
+                "bad y",
+                lanes(16, 16, 3),
+                filter(16, 16),
+                y(8, 16),
+                Some("sub"),
+            ),
+        ];
+        let bits = |m: &Matrix<f64>| m.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (name, xs, filter, y, fails_at) in cases {
+            let fused = TpuAccel::with_cores(4);
+            let got = fused.filter_diff_batch(&xs, &filter, &y);
+            let staged = TpuAccel::with_cores(4);
+            let expect = staged_filter_diff(&staged, &xs, &filter, &y);
+            match (got, expect) {
+                (Ok(maps), Ok(expect)) => {
+                    assert!(fails_at.is_none(), "{name}");
+                    assert_eq!(maps.len(), expect.len(), "{name}");
+                    for (a, b) in maps.iter().zip(&expect) {
+                        assert_eq!(bits(a), bits(b), "{name}");
+                    }
+                }
+                (Err(got), Err(expect)) => {
+                    assert_eq!(got, expect, "{name}");
+                    assert!(
+                        matches!(got, TensorError::ShapeMismatch { op, .. } if Some(op) == fails_at),
+                        "{name}: {got:?}"
+                    );
+                }
+                (got, expect) => panic!("{name}: {got:?} vs {expect:?}"),
+            }
+            assert_eq!(
+                fused.elapsed_seconds().to_bits(),
+                staged.elapsed_seconds().to_bits(),
+                "{name}"
+            );
+            assert_eq!(fused.stats(), staged.stats(), "{name}");
         }
     }
 

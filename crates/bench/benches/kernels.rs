@@ -1,11 +1,12 @@
 //! Benchmarks of the tensor substrate kernels: blocked vs naive
-//! matmul, naive vs cache-blocked transpose, and direct vs FFT-based
+//! matmul, naive vs cache-blocked transpose, direct vs FFT-based
 //! circular convolution — the crossovers that justify the library's
-//! algorithm choices.
+//! algorithm choices — and the in-place 2-D FFT kernel at the paper's
+//! Table II size.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-use xai_fourier::convolve2d_fft;
+use xai_fourier::{convolve2d_fft, Fft2d};
 use xai_tensor::conv::conv2d_circular;
 use xai_tensor::ops::{
     matmul, matmul_blocked, matmul_blocked_parallel, pointwise_div, DivPolicy, DEFAULT_BLOCK,
@@ -67,8 +68,7 @@ fn bench_elementwise(c: &mut Criterion) {
 }
 
 /// Naive column-walk transpose vs the cache-blocked tile walk (serial
-/// and pool-parallel) — the Fft2d column pass runs two of these per
-/// transform, so the tile win compounds.
+/// and pool-parallel).
 fn bench_transpose(c: &mut Criterion) {
     let mut group = c.benchmark_group("transpose");
     group.sample_size(20);
@@ -85,6 +85,33 @@ fn bench_transpose(c: &mut Criterion) {
             b.iter(|| black_box(&x).transpose_parallel(workers));
         });
     }
+    group.finish();
+}
+
+/// The in-place 2-D FFT kernel at 128² (Table II): one forward
+/// transform, and a 16-lane forward batch followed by its inverse —
+/// the round trip of one distillation-and-explanation request.
+fn bench_fft2d(c: &mut Criterion) {
+    let mut group = c.benchmark_group("fft2d");
+    group.sample_size(10);
+    let n = 128usize;
+    let plan = Fft2d::new(n, n);
+    let lanes: Vec<_> = (0..16).map(|i| real_matrix(n, i).to_complex()).collect();
+    group.bench_with_input(BenchmarkId::new("forward", n), &n, |b, _| {
+        b.iter(|| plan.forward(black_box(&lanes[0])).expect("planned shape"));
+    });
+    group.bench_with_input(
+        BenchmarkId::new("batch16-forward-inverse", n),
+        &n,
+        |b, _| {
+            b.iter(|| {
+                let spectra = plan
+                    .forward_batch(black_box(&lanes))
+                    .expect("planned shape");
+                plan.inverse_batch(&spectra).expect("planned shape")
+            });
+        },
+    );
     group.finish();
 }
 
@@ -152,6 +179,7 @@ criterion_group!(
     bench_elementwise,
     bench_transpose,
     bench_convolution,
+    bench_fft2d,
     bench_collectives
 );
 criterion_main!(benches);

@@ -202,6 +202,13 @@ fn main() -> Result<()> {
 
         let eps_per = workers as f64 / t_per;
         let eps_bat = workers as f64 / t_bat;
+        // Not bit-reproducible: `t_per` is the device clock after 8
+        // request threads charged their kernels in whatever order the
+        // host scheduled them, and floating-point sums depend on
+        // order, so the last bits move between runs of unchanged code
+        // (7.999999999999995 against a committed 7.999999999999993).
+        // The ≥2× gate is far from that noise; exact comparisons of
+        // this row must allow for it.
         let speedup = t_per / t_bat;
         metrics.push(("serving_explanations_per_sec_per_request_8w", eps_per));
         metrics.push(("serving_explanations_per_sec_batched_8w", eps_bat));

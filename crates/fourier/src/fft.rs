@@ -2,9 +2,9 @@
 //!
 //! O(N log N) for power-of-two lengths; arbitrary lengths are handled
 //! by [`crate::bluestein`]. The implementation is in-place with a
-//! precomputed bit-reversal permutation and twiddle table so that a
-//! plan can be reused across the many row/column transforms of the
-//! 2-D decomposition.
+//! precomputed bit-reversal permutation and per-stage twiddle tables
+//! so that a plan can be reused across the many row/column transforms
+//! of the 2-D decomposition.
 
 use crate::norm::Norm;
 use xai_tensor::Complex64;
@@ -21,8 +21,13 @@ pub struct Radix2Plan {
     n: usize,
     /// Bit-reversal permutation indices.
     rev: Vec<u32>,
-    /// Forward twiddles `e^{-2πi·k/n}` for k in 0..n/2.
-    twiddles: Vec<Complex64>,
+    /// Forward twiddles laid out stage by stage: the stage with
+    /// half-length `h` reads `e^{-2πi·k/(2h)}` for k in 0..h from
+    /// `fwd[h-1..2h-1]`, so its butterflies walk the table
+    /// contiguously (n − 1 entries in all).
+    fwd: Vec<Complex64>,
+    /// The conjugates of `fwd`, same layout, for the inverse.
+    inv: Vec<Complex64>,
 }
 
 impl Radix2Plan {
@@ -42,10 +47,15 @@ impl Radix2Plan {
             .map(|i| i.reverse_bits() >> (32 - bits.max(1)))
             .collect::<Vec<_>>();
         let rev = if n == 1 { vec![0] } else { rev };
-        let twiddles = (0..n / 2)
-            .map(|k| Complex64::twiddle(k as i64, n))
+        // Stage `h` uses the length-n twiddles at stride n/(2h): the
+        // very values a strided walk of one `e^{-2πi·k/n}` table reads,
+        // copied out so every stage's walk is contiguous.
+        let fwd: Vec<Complex64> = std::iter::successors(Some(1), |h| Some(h * 2))
+            .take_while(|&h| h < n)
+            .flat_map(|h| (0..h).map(move |k| Complex64::twiddle((k * (n / (2 * h))) as i64, n)))
             .collect();
-        Radix2Plan { n, rev, twiddles }
+        let inv = fwd.iter().map(|w| w.conj()).collect();
+        Radix2Plan { n, rev, fwd, inv }
     }
 
     /// Transform length.
@@ -95,31 +105,28 @@ impl Radix2Plan {
             return;
         }
         // Bit-reversal permutation.
-        for i in 0..n {
-            let j = self.rev[i] as usize;
+        for (i, &j) in self.rev.iter().enumerate() {
+            let j = j as usize;
             if i < j {
                 data.swap(i, j);
             }
         }
-        // Iterative butterflies.
-        let mut len = 2;
-        while len <= n {
-            let half = len / 2;
-            let step = n / len;
-            for start in (0..n).step_by(len) {
-                for k in 0..half {
-                    let w = if inverse {
-                        self.twiddles[k * step].conj()
-                    } else {
-                        self.twiddles[k * step]
-                    };
-                    let even = data[start + k];
-                    let odd = data[start + k + half] * w;
-                    data[start + k] = even + odd;
-                    data[start + k + half] = even - odd;
+        // Iterative butterflies, one contiguous twiddle slice per
+        // stage; the direction is chosen once, outside the loops.
+        let table = if inverse { &self.inv } else { &self.fwd };
+        let mut half = 1;
+        while half < n {
+            let tw = &table[half - 1..2 * half - 1];
+            for block in data.chunks_exact_mut(2 * half) {
+                let (lo, hi) = block.split_at_mut(half);
+                for ((a, b), &w) in lo.iter_mut().zip(hi.iter_mut()).zip(tw) {
+                    let even = *a;
+                    let odd = *b * w;
+                    *a = even + odd;
+                    *b = even - odd;
                 }
             }
-            len *= 2;
+            half *= 2;
         }
     }
 }

@@ -8,11 +8,24 @@
 //! cores and [`Fft2d::forward_parallel`] exploits on the host via the
 //! shared [`xai_parallel`] work-stealing pool: `workers` fixes the
 //! split points (so results are bit-identical for any pool size), and
-//! idle pool workers steal whole row blocks to balance ragged splits.
+//! idle pool workers steal whole blocks to balance ragged splits.
+//!
+//! Every entry point runs one in-place kernel
+//! ([`Fft2d::forward_in_place`]): the rows are transformed where they
+//! lie, then the columns a few at a time — each block of columns is
+//! gathered into an L1-sized scratch, transformed as contiguous
+//! vectors and scattered back. No transform-sized buffer is ever
+//! allocated beyond the output itself; the out-of-place entry points
+//! are one clone plus the kernel.
 
 use crate::norm::Norm;
 use crate::plan::FftPlan;
-use xai_tensor::{transpose_slice, Complex64, Matrix, Result, TensorError};
+use xai_tensor::{Complex64, Matrix, Result, TensorError};
+
+/// Size of the column-pass scratch in elements (32 KiB of
+/// `Complex64`, a typical L1 data cache): a block of whole columns is
+/// gathered here so each column transform runs on contiguous data.
+const COLUMN_SCRATCH_LEN: usize = 2048;
 
 /// A reusable 2-D DFT plan for fixed `rows × cols` shape.
 #[derive(Debug, Clone)]
@@ -51,6 +64,29 @@ impl Fft2d {
         (self.rows, self.cols)
     }
 
+    /// Forward 2-D transform, overwriting `x` with its spectrum.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::ShapeMismatch`] (leaving `x` untouched)
+    /// when `x` does not match the planned shape.
+    pub fn forward_in_place(&self, x: &mut Matrix<Complex64>) -> Result<()> {
+        self.check(x, "fft2d")?;
+        self.run(x, true, 1);
+        Ok(())
+    }
+
+    /// Inverse 2-D transform in place (see [`Fft2d::forward_in_place`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`Fft2d::forward_in_place`].
+    pub fn inverse_in_place(&self, x: &mut Matrix<Complex64>) -> Result<()> {
+        self.check(x, "fft2d")?;
+        self.run(x, false, 1);
+        Ok(())
+    }
+
     /// Forward 2-D transform.
     ///
     /// # Errors
@@ -73,7 +109,8 @@ impl Fft2d {
 
     /// Forward transform sharded across `workers` host threads —
     /// the software analogue of Algorithm 1's per-core row/column
-    /// assignment.
+    /// assignment: `workers` row blocks for the row pass, `workers`
+    /// column blocks for the column pass.
     ///
     /// # Errors
     ///
@@ -107,11 +144,11 @@ impl Fft2d {
         self.transform(x, false, workers)
     }
 
-    /// Batched forward transform: one fused row pass and one fused
-    /// column pass over the whole batch, reusing this plan and a
-    /// single scratch transpose — the §III-D multi-input parallelism
-    /// realised at the transform level. Results are bit-identical to
-    /// calling [`Fft2d::forward`] on each matrix.
+    /// Batched forward transform: each matrix is cloned once and run
+    /// through the in-place kernel with this one plan — the §III-D
+    /// multi-input parallelism realised at the transform level.
+    /// Results are bit-identical to calling [`Fft2d::forward`] on each
+    /// matrix.
     ///
     /// # Errors
     ///
@@ -130,8 +167,9 @@ impl Fft2d {
         self.transform_batch(xs, false, 1)
     }
 
-    /// Batched forward transform with both fused passes sharded across
-    /// `workers` host threads (clamped to the available row count).
+    /// Batched forward transform across `workers` host threads: each
+    /// matrix in turn runs through the sharded kernel of
+    /// [`Fft2d::forward_parallel`].
     ///
     /// # Errors
     ///
@@ -164,31 +202,27 @@ impl Fft2d {
         self.transform_batch(xs, false, workers)
     }
 
+    fn check(&self, x: &Matrix<Complex64>, op: &'static str) -> Result<()> {
+        if x.shape() != (self.rows, self.cols) {
+            return Err(TensorError::ShapeMismatch {
+                left: (self.rows, self.cols),
+                right: x.shape(),
+                op,
+            });
+        }
+        Ok(())
+    }
+
     fn transform(
         &self,
         x: &Matrix<Complex64>,
         fwd: bool,
         workers: usize,
     ) -> Result<Matrix<Complex64>> {
-        if x.shape() != (self.rows, self.cols) {
-            return Err(TensorError::ShapeMismatch {
-                left: (self.rows, self.cols),
-                right: x.shape(),
-                op: "fft2d",
-            });
-        }
-        // Stage 1: transform all rows.
-        let mut inter = x.clone();
-        self.run_rows(&mut inter, &self.row_plan, fwd, workers);
-        // Stage 2: transform all columns (transpose, run rows,
-        // transpose back — keeps the hot loop contiguous). The
-        // transposes are cache-blocked tile walks sharded over the
-        // same `workers` bound as the transforms; a transpose is a
-        // pure permutation, so they stay bit-identical to the naive
-        // column walk for every worker count.
-        let mut t = inter.transpose_parallel(workers);
-        self.run_rows(&mut t, &self.col_plan, fwd, workers);
-        Ok(t.transpose_parallel(workers))
+        self.check(x, "fft2d")?;
+        let mut out = x.clone();
+        self.run(&mut out, fwd, workers);
+        Ok(out)
     }
 
     fn transform_batch(
@@ -198,87 +232,95 @@ impl Fft2d {
         workers: usize,
     ) -> Result<Vec<Matrix<Complex64>>> {
         for x in xs {
-            if x.shape() != (self.rows, self.cols) {
-                return Err(TensorError::ShapeMismatch {
-                    left: (self.rows, self.cols),
-                    right: x.shape(),
-                    op: "fft2d_batch",
-                });
-            }
+            self.check(x, "fft2d_batch")?;
         }
-        if xs.is_empty() {
-            return Ok(Vec::new());
+        let mut out = xs.to_vec();
+        for x in &mut out {
+            self.run(x, fwd, workers);
         }
-        let (b, m, n) = (xs.len(), self.rows, self.cols);
-        // Stage 1: ONE fused row pass over every row of every matrix,
-        // stacked into a single (b·m) × n buffer.
-        let mut stacked = Matrix::vstack(xs)?;
-        self.run_rows(&mut stacked, &self.row_plan, fwd, workers);
-        // Stage 2: ONE fused column pass. Each matrix's block is
-        // transposed into a single (b·n) × m scratch so the column
-        // transforms run as contiguous rows, then transposed back.
-        // Both scatter and gather are per-block cache-blocked tile
-        // transposes; with more than one worker the scatter shards
-        // across blocks on the shared pool (one block per chunk, so
-        // the split is independent of the pool size).
-        let mut scratch = Matrix::filled(b * n, m, Complex64::ZERO)?;
-        let src = stacked.as_slice();
-        if workers <= 1 || b <= 1 {
-            for i in 0..b {
-                transpose_slice(
-                    &src[i * m * n..(i + 1) * m * n],
-                    m,
-                    n,
-                    &mut scratch.as_mut_slice()[i * n * m..(i + 1) * n * m],
-                );
-            }
-        } else {
-            xai_parallel::global().par_chunks_mut(scratch.as_mut_slice(), n * m, |i, chunk| {
-                transpose_slice(&src[i * m * n..(i + 1) * m * n], m, n, chunk);
-            });
-        }
-        self.run_rows(&mut scratch, &self.col_plan, fwd, workers);
-        (0..b)
-            .map(|i| {
-                let mut out = vec![Complex64::ZERO; m * n];
-                transpose_slice(
-                    &scratch.as_slice()[i * n * m..(i + 1) * n * m],
-                    n,
-                    m,
-                    &mut out,
-                );
-                Matrix::from_vec(m, n, out)
-            })
-            .collect()
+        Ok(out)
     }
 
-    fn run_rows(&self, m: &mut Matrix<Complex64>, plan: &FftPlan, fwd: bool, workers: usize) {
-        let cols = m.cols();
-        let rows = m.rows();
-        // Clamp to the row count: more workers than rows would only
-        // queue degenerate chunks with nothing to transform.
-        let workers = workers.min(rows).max(1);
-        if workers <= 1 {
-            run_chunk(m.as_mut_slice(), cols, plan, fwd);
-        } else {
-            // Fixed split points (`workers` row blocks regardless of
-            // pool size — the determinism contract), balanced by idle
-            // pool workers stealing whole blocks from the injector.
-            let chunk_len = rows.div_ceil(workers) * cols;
-            xai_parallel::global().par_chunks_mut(m.as_mut_slice(), chunk_len, |_, chunk| {
-                run_chunk(chunk, cols, plan, fwd)
-            });
+    /// The in-place kernel behind every entry point: rows where they
+    /// lie, then columns through the blocked scratch, each pass split
+    /// into at most `workers` fixed blocks. Every 1-D transform sees
+    /// exactly the vector the naive row–column walk would hand it, so
+    /// the result is bit-identical for any `workers`.
+    fn run(&self, x: &mut Matrix<Complex64>, fwd: bool, workers: usize) {
+        let (rows, cols) = (self.rows, self.cols);
+        let data = x.as_mut_slice();
+        // Row pass: `workers` blocks of whole rows (clamped to the row
+        // count — more would only queue empty chunks).
+        let row_block = rows.div_ceil(workers.clamp(1, rows)) * cols;
+        for_each_chunk(data, row_block, |block| {
+            for row in block.chunks_exact_mut(cols) {
+                apply(&self.row_plan, row, fwd);
+            }
+        });
+        // Column pass: `workers` strips of adjacent columns, each held
+        // as its segment of every row so strips borrow disjointly.
+        let strip_width = cols.div_ceil(workers.clamp(1, cols));
+        let mut strips: Vec<Vec<&mut [Complex64]>> = (0..cols.div_ceil(strip_width))
+            .map(|_| Vec::with_capacity(rows))
+            .collect();
+        for row in data.chunks_exact_mut(cols) {
+            for (strip, segment) in strips.iter_mut().zip(row.chunks_mut(strip_width)) {
+                strip.push(segment);
+            }
         }
+        for_each_chunk(&mut strips, 1, |strip| {
+            self.column_strip(&mut strip[0], fwd)
+        });
+    }
 
-        fn run_chunk(chunk: &mut [Complex64], cols: usize, plan: &FftPlan, fwd: bool) {
-            for row in chunk.chunks_exact_mut(cols) {
-                if fwd {
-                    plan.forward(row, Norm::Backward);
-                } else {
-                    plan.inverse(row, Norm::Backward);
+    /// Transforms every column of one strip (`strip[r]` is the
+    /// strip's segment of row `r`): blocks of columns are gathered
+    /// into the L1-sized scratch, transformed contiguously and
+    /// scattered back.
+    fn column_strip(&self, strip: &mut [&mut [Complex64]], fwd: bool) {
+        let rows = self.rows;
+        let width = strip.first().map_or(0, |r| r.len());
+        let block = (COLUMN_SCRATCH_LEN / rows).clamp(1, width.max(1));
+        let mut scratch = vec![Complex64::ZERO; block * rows];
+        for c0 in (0..width).step_by(block) {
+            let w = block.min(width - c0);
+            let buf = &mut scratch[..w * rows];
+            for (r, row) in strip.iter().enumerate() {
+                for (j, &v) in row[c0..c0 + w].iter().enumerate() {
+                    buf[j * rows + r] = v;
+                }
+            }
+            for col in buf.chunks_exact_mut(rows) {
+                apply(&self.col_plan, col, fwd);
+            }
+            for (r, row) in strip.iter_mut().enumerate() {
+                for (j, v) in row[c0..c0 + w].iter_mut().enumerate() {
+                    *v = buf[j * rows + r];
                 }
             }
         }
+    }
+}
+
+/// One 1-D transform of `data` in the given direction (backward
+/// normalisation, so the 2-D inverse scales by `1/(M·N)`).
+fn apply(plan: &FftPlan, data: &mut [Complex64], fwd: bool) {
+    if fwd {
+        plan.forward(data, Norm::Backward);
+    } else {
+        plan.inverse(data, Norm::Backward);
+    }
+}
+
+/// Runs `f` on each `chunk_len`-sized chunk of `data`. Split points
+/// depend only on `chunk_len` (the determinism contract); a single
+/// chunk runs inline without touching the pool, so serial transforms
+/// never start it.
+fn for_each_chunk<T: Send>(data: &mut [T], chunk_len: usize, f: impl Fn(&mut [T]) + Sync) {
+    if data.len() <= chunk_len {
+        f(data);
+    } else {
+        xai_parallel::global().par_chunks_mut(data, chunk_len, |_, chunk| f(chunk));
     }
 }
 
@@ -301,8 +343,8 @@ pub fn ifft2d(x: &Matrix<Complex64>) -> Result<Matrix<Complex64>> {
 }
 
 /// One-shot batched forward 2-D DFTs: every matrix must share one
-/// shape; one plan is built and both fused passes run over the whole
-/// batch (see [`Fft2d::forward_batch`]).
+/// shape; one plan is built and reused for the whole batch (see
+/// [`Fft2d::forward_batch`]).
 ///
 /// # Errors
 ///

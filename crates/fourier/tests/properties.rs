@@ -104,7 +104,7 @@ proptest! {
     ) {
         // Random shapes (radix-2 and Bluestein lengths), batch sizes
         // including 0 and 1, and worker counts up to well past the
-        // row count: the fused batch passes must reproduce per-matrix
+        // row count: both batch schedules must reproduce per-matrix
         // transforms BIT for bit.
         let xs: Vec<Matrix<Complex64>> = (0..b)
             .map(|i| {

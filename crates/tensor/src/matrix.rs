@@ -480,7 +480,7 @@ impl<T: Scalar> Matrix<T> {
     pub fn vstack(parts: &[Self]) -> Result<Self> {
         let first = parts.first().ok_or(TensorError::EmptyDimension)?;
         let cols = first.cols;
-        let mut data = Vec::new();
+        let mut data = Vec::with_capacity(parts.iter().map(|p| p.data.len()).sum());
         let mut rows = 0;
         for p in parts {
             if p.cols != cols {
@@ -542,7 +542,14 @@ impl<T: Scalar> Matrix<T> {
         Ok(out)
     }
 
-    pub(crate) fn check_same_shape(&self, other: &Self, op: &'static str) -> Result<()> {
+    /// The shape check of the elementwise kernels: `Ok` when `other`
+    /// (of any element type) has this matrix's shape.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::ShapeMismatch`] naming `op`, with this
+    /// matrix's shape on the left.
+    pub fn check_same_shape<U: Scalar>(&self, other: &Matrix<U>, op: &'static str) -> Result<()> {
         if self.shape() != other.shape() {
             return Err(TensorError::ShapeMismatch {
                 left: self.shape(),
@@ -674,21 +681,6 @@ impl Matrix<Complex64> {
     pub fn energy(&self) -> f64 {
         self.data.iter().map(|z| z.norm_sqr()).sum()
     }
-}
-
-/// Writes the transpose of the row-major `rows × cols` slice `src`
-/// into `out` (row-major `cols × rows`) with the cache-blocked tile
-/// walk of [`Matrix::transpose_blocked`]. Exposed for callers that
-/// stage transposes through scratch buffers (the batched FFT's
-/// scatter/gather passes) without constructing intermediate matrices.
-///
-/// # Panics
-///
-/// Panics when either slice length differs from `rows * cols`.
-pub fn transpose_slice<T: Scalar>(src: &[T], rows: usize, cols: usize, out: &mut [T]) {
-    assert_eq!(src.len(), rows * cols, "transpose_slice source length");
-    assert_eq!(out.len(), rows * cols, "transpose_slice destination length");
-    transpose_band(src, rows, cols, 0, cols, out);
 }
 
 /// Tile edge of the cache-blocked transpose. 32×32 `f64` tiles are
@@ -878,6 +870,8 @@ mod tests {
         let v = Matrix::vstack(&[a.clone(), b.clone()]).unwrap();
         assert_eq!(v.shape(), (2, 2));
         assert_eq!(v[(1, 0)], 3.0);
+        // Reserved once, exactly: no regrowth while stacking.
+        assert_eq!(v.data.capacity(), 4);
         let h = Matrix::hstack(&[a, b]).unwrap();
         assert_eq!(h.shape(), (1, 4));
         assert_eq!(h[(0, 3)], 4.0);
